@@ -33,8 +33,9 @@ type GatewayBench struct {
 	AcceptP50 float64 `json:"accept_latency_p50_seconds"`
 	AcceptP99 float64 `json:"accept_latency_p99_seconds"`
 	// FsyncP99 is the p99 write-ahead-log fsync batch latency in
-	// seconds, and FsyncBatches the number of batches — far fewer than
-	// Jobs when group commit is doing its job.
+	// seconds, and FsyncBatches the number of batches. Each job appends
+	// two records, so fewer batches than Jobs means group commit is
+	// sharing fsyncs between concurrent submissions.
 	FsyncP99     float64 `json:"joblog_fsync_p99_seconds"`
 	FsyncBatches int     `json:"joblog_fsync_batches"`
 }

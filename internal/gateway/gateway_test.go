@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -80,7 +81,6 @@ func newTestServer(t *testing.T, backend Backend, quotas map[string]Quota, logPa
 	}
 	s, err := New(Options{
 		Tenants: quotas, Backend: backend, LogPath: logPath,
-		Log:          joblog.Options{BatchDelay: 100 * time.Microsecond},
 		PollInterval: time.Hour, // tests drive the poller with PollNow
 	})
 	if err != nil {
@@ -330,6 +330,54 @@ func TestRestartRepollsForwarded(t *testing.T) {
 	json.NewDecoder(w.Result().Body).Decode(&j)
 	if j.State != StateDecided {
 		t.Errorf("forwarded job not re-polled after restart: %+v", j)
+	}
+}
+
+// One poll that decides k jobs logs their Decided records in one fsync,
+// and a restart sees every one of them decided.
+func TestPollDecisionsShareOneFsync(t *testing.T) {
+	const k = 6
+	logPath := filepath.Join(t.TempDir(), "gateway.wal")
+	var syncs atomic.Int32
+	fb := newFakeBackend()
+	s, err := New(Options{
+		Tenants: map[string]Quota{"acme": {Rate: 1000, Burst: 1000}},
+		Backend: fb, LogPath: logPath,
+		Log:          joblog.Options{OnSync: func(time.Duration) { syncs.Add(1) }},
+		PollInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < k; i++ {
+		resp, reply := submit(t, s, `{"tenant":"acme","deadline":40,"graph":`+testGraph+`}`)
+		if resp.StatusCode != http.StatusAccepted || reply["state"] != StateForwarded {
+			t.Fatalf("submit %d: %v %v", i, resp.Status, reply)
+		}
+	}
+	fb.decideAll("accepted-local")
+	before := syncs.Load()
+	s.PollNow()
+	if got := syncs.Load() - before; got != 1 {
+		t.Errorf("poll deciding %d jobs cost %d fsyncs, want 1", k, got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l, records, err := joblog.Open(logPath, joblog.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	rep := joblog.Summarize(records)
+	if len(rep.Jobs) != k {
+		t.Fatalf("restart recovered %d jobs, want %d", len(rep.Jobs), k)
+	}
+	for _, j := range rep.Jobs {
+		if j.Outcome != "accepted-local" {
+			t.Errorf("job %s recovered as %q, want decided accepted-local", j.Submitted.ID, j.Outcome)
+		}
 	}
 }
 

@@ -8,10 +8,14 @@
 //
 // where body is the JSON encoding of a Record (JSON for debuggability —
 // the log is an operator artifact; the wire codec stays reserved for
-// protocol traffic). Appends are fsync-BATCHED (group commit): every
-// Append blocks until its record is durable, but concurrent appends share
-// one fdatasync, so a burst of submissions costs one disk flush, not one
-// per job. The batch window is bounded by Options.BatchDelay.
+// protocol traffic). Appends are fsync-BATCHED by zero-wait group commit:
+// every Append blocks until its records are durable. The first appender
+// to find no fsync running leads: it yields the processor once, so
+// appenders already runnable can join, and flushes. Appenders that arrive
+// while that fsync runs form the next batch, which the leader flushes as
+// soon as its own fsync returns. No appender ever sleeps waiting for
+// companions, and a burst still costs one fsync per batch, not one per
+// job.
 //
 // Recovery (Open) replays the valid prefix of the file and is
 // truncation-tolerant: a torn final record — the shape a crash mid-write
@@ -29,6 +33,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -93,12 +98,8 @@ type Record struct {
 	DecisionLatency float64         `json:"decision_latency,omitempty"`
 }
 
-// Options tunes the fsync batching and recovery behavior.
+// Options configures the log's fsync behavior.
 type Options struct {
-	// BatchDelay bounds how long an Append may wait for companions before
-	// the batch is flushed anyway. 0 means DefaultBatchDelay. Smaller is
-	// lower latency, larger is fewer fsyncs under load.
-	BatchDelay time.Duration
 	// NoSync disables fsync entirely (tests and benchmarks on tmpfs where
 	// durability is moot). Appends still go through the batch writer so
 	// the code path stays the same.
@@ -112,10 +113,6 @@ type Options struct {
 	// In-package tests only.
 	failpoint func(w syncWriter) syncWriter
 }
-
-// DefaultBatchDelay is the fsync batch window: long enough to coalesce a
-// burst, short enough to stay invisible next to network latency.
-const DefaultBatchDelay = 2 * time.Millisecond
 
 // syncWriter is the slice of *os.File the log writes through; the
 // failpoint writer wraps it to inject crashes at batch boundaries.
@@ -141,9 +138,6 @@ type Log struct {
 // tail, and returns the log opened for append plus the replayed records in
 // order. Corruption before the tail returns ErrCorrupt.
 func Open(path string, opts Options) (*Log, []Record, error) {
-	if opts.BatchDelay <= 0 {
-		opts.BatchDelay = DefaultBatchDelay
-	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, err
@@ -224,39 +218,39 @@ func frameAt(data []byte, offset int64) (body []byte, next int64, ok bool) {
 	return body, offset + frameHeader + int64(n), true
 }
 
-// Append frames, writes and durably flushes one record, blocking until the
-// record's fsync batch completes. Concurrent appenders share a batch: the
-// first one in becomes the syncer, waits BatchDelay for companions, then
-// flushes once for everyone.
-func (l *Log) Append(rec Record) error {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return err
+// Append frames the records, writes them with one Write and blocks until
+// they are durable. All records of one call share an fsync batch; with no
+// records it is a no-op. Concurrent appenders share batches too: an
+// appender that finds no fsync running leads, flushing without waiting
+// and then again for every appender that queued behind the running
+// fsync, until none is left.
+func (l *Log) Append(recs ...Record) error {
+	if len(recs) == 0 {
+		return nil
 	}
-	if len(body) > MaxRecord {
-		return fmt.Errorf("joblog: record of %d bytes exceeds MaxRecord", len(body))
+	var buf []byte
+	for _, rec := range recs {
+		body, err := json.Marshal(rec)
+		if err != nil {
+			return err
+		}
+		if len(body) > MaxRecord {
+			return fmt.Errorf("joblog: record of %d bytes exceeds MaxRecord", len(body))
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(body, castagnoli))
+		buf = append(buf, body...)
 	}
-	var frame [frameHeader]byte
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(body, castagnoli))
 
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return fmt.Errorf("joblog: log is closed")
 	}
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
-		return err
-	}
-	if _, err := l.w.Write(frame[:]); err == nil {
-		_, err = l.w.Write(body)
-		if err != nil {
+	if l.err == nil {
+		if _, err := l.w.Write(buf); err != nil {
 			l.err = err
 		}
-	} else {
-		l.err = err
 	}
 	if l.err != nil {
 		err := l.err
@@ -272,13 +266,14 @@ func (l *Log) Append(rec Record) error {
 	l.mu.Unlock()
 
 	if lead {
-		// Group commit: give companions the batch window, flush once, and
-		// keep flushing while late joiners queued up during the fsync —
-		// an appender that saw syncing=true relies on this loop.
+		// An appender that saw syncing=true relies on this loop to flush
+		// the batch it joined. Each round first yields the processor, so
+		// appenders that are runnable but not yet scheduled join the
+		// batch; with one processor they could not run during the fsync
+		// itself. A yield is not a wait: with nothing runnable it returns
+		// at once.
 		for {
-			if l.opts.BatchDelay > 0 && !l.opts.NoSync {
-				time.Sleep(l.opts.BatchDelay)
-			}
+			runtime.Gosched()
 			if !l.flushBatch() {
 				break
 			}

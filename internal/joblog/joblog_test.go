@@ -6,14 +6,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// testOpts keeps tests fast: tiny batch window, real fsync (tmp dirs are
-// cheap and the sync path is exactly what the failpoint tests target).
-func testOpts() Options { return Options{BatchDelay: 100 * time.Microsecond} }
+// testOpts keeps real fsync on: tmp dirs are cheap and the sync path is
+// exactly what the failpoint tests target.
+func testOpts() Options { return Options{} }
 
 func rec(t RecordType, id string, seq uint64) Record {
 	return Record{Type: t, ID: id, Seq: seq, Tenant: "acme",
@@ -330,7 +332,6 @@ func TestConcurrentAppendsAllDurable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "joblog")
 	syncs := 0
 	opts := testOpts()
-	opts.BatchDelay = 2 * time.Millisecond
 	opts.OnSync = func(time.Duration) { syncs++ }
 	l, _ := openOrDie(t, path, opts)
 
@@ -358,5 +359,167 @@ func TestConcurrentAppendsAllDurable(t *testing.T) {
 	defer l2.Close()
 	if len(records) != n {
 		t.Fatalf("recovered %d of %d concurrent appends", len(records), n)
+	}
+}
+
+// tearingWriter passes writes through to the file until the armed one,
+// which it cuts off after tearAt bytes: the shape a crash mid-write leaves
+// when the kernel had taken only part of the buffer.
+type tearingWriter struct {
+	syncWriter
+	writes  int
+	tearOn  int // 1-based index of the write to tear
+	tearAt  int
+	errTorn error
+}
+
+func (w *tearingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	if w.writes != w.tearOn {
+		return w.syncWriter.Write(p)
+	}
+	n, _ := w.syncWriter.Write(p[:w.tearAt])
+	return n, w.errTorn
+}
+
+// A multi-record Append is one Write. Torn partway through the batch, the
+// Append must fail, and recovery must keep whole records only: the records
+// before the tear, never a fragment of the one it cut.
+func TestTornMultiRecordAppend(t *testing.T) {
+	batch := []Record{
+		{Type: TypeDecided, ID: "g1", Outcome: "accepted-local"},
+		{Type: TypeDecided, ID: "g2", Outcome: "rejected"},
+		{Type: TypeDecided, ID: "g3", Outcome: "accepted-distributed"},
+	}
+	frameLen := func(r Record) int {
+		body, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frameHeader + len(body)
+	}
+	errTorn := errors.New("joblog_test: torn write")
+	tw := &tearingWriter{tearOn: 2, tearAt: frameLen(batch[0]) + frameLen(batch[1])/2, errTorn: errTorn}
+	opts := testOpts()
+	opts.failpoint = func(w syncWriter) syncWriter {
+		tw.syncWriter = w
+		return tw
+	}
+
+	path := filepath.Join(t.TempDir(), "joblog")
+	l, _ := openOrDie(t, path, opts)
+	if err := l.Append(rec(TypeSubmitted, "g0", 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(batch...); !errors.Is(err, errTorn) {
+		t.Fatalf("torn batch append returned %v, want the write error", err)
+	}
+	if err := l.Append(rec(TypeSubmitted, "late", 9)); !errors.Is(err, errTorn) {
+		t.Fatalf("append after a torn write returned %v, want the sticky write error", err)
+	}
+	l.Close()
+
+	l2, records := openOrDie(t, path, testOpts())
+	defer l2.Close()
+	var ids []string
+	for _, r := range records {
+		ids = append(ids, r.ID)
+	}
+	if fmt.Sprint(ids) != "[g0 g1]" {
+		t.Fatalf("recovered %v, want [g0 g1]: the whole records before the tear", ids)
+	}
+	if r := records[1]; r.Type != batch[0].Type || r.Outcome != batch[0].Outcome {
+		t.Errorf("recovered batch record %+v, want %+v", records[1], batch[0])
+	}
+}
+
+// Append with no records is a no-op: no write, no fsync.
+func TestAppendNothing(t *testing.T) {
+	syncs := 0
+	opts := testOpts()
+	opts.OnSync = func(time.Duration) { syncs++ }
+	l, _ := openOrDie(t, filepath.Join(t.TempDir(), "joblog"), opts)
+	defer l.Close()
+	if err := l.Append(); err != nil {
+		t.Fatal(err)
+	}
+	if syncs != 0 {
+		t.Errorf("empty Append cost %d fsyncs", syncs)
+	}
+}
+
+// blockingSync holds the first Sync until release is closed; entered is
+// closed once that Sync has started.
+type blockingSync struct {
+	syncWriter
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *blockingSync) Sync() error {
+	b.once.Do(func() {
+		close(b.entered)
+		<-b.release
+	})
+	return b.syncWriter.Sync()
+}
+
+// Appenders that arrive while the leader's fsync runs form exactly one
+// next batch: with the leader held inside Sync while n appenders queue,
+// the whole run costs two fsyncs and every record is recovered.
+func TestArrivalsDuringFsyncFormNextBatch(t *testing.T) {
+	const n = 16
+	bs := &blockingSync{entered: make(chan struct{}), release: make(chan struct{})}
+	var syncs atomic.Int32
+	opts := testOpts()
+	opts.OnSync = func(time.Duration) { syncs.Add(1) }
+	opts.failpoint = func(w syncWriter) syncWriter {
+		bs.syncWriter = w
+		return bs
+	}
+	path := filepath.Join(t.TempDir(), "joblog")
+	l, _ := openOrDie(t, path, opts)
+
+	errs := make([]error, n+1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		errs[0] = l.Append(rec(TypeSubmitted, "g0", 0))
+	}()
+	<-bs.entered
+	for i := 1; i <= n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = l.Append(rec(TypeSubmitted, fmt.Sprintf("g%d", i), uint64(i)))
+		}(i)
+	}
+	// Wait until every appender has written and queued behind the held
+	// fsync, then let the leader go.
+	for queued := 0; queued < n; {
+		runtime.Gosched()
+		l.mu.Lock()
+		queued = len(l.pending)
+		l.mu.Unlock()
+	}
+	close(bs.release)
+	wg.Wait()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	if got := syncs.Load(); got != 2 {
+		t.Errorf("%d fsyncs, want 2: the leader's and one for everyone queued behind it", got)
+	}
+	l2, records := openOrDie(t, path, testOpts())
+	defer l2.Close()
+	if len(records) != n+1 {
+		t.Fatalf("recovered %d of %d records", len(records), n+1)
 	}
 }
