@@ -134,9 +134,9 @@ func BenchmarkE10TransportDES(b *testing.B) {
 	}
 }
 
-// BenchmarkE10TransportLive measures the same admission on the live
-// goroutine transport (includes real scaled delays, so it is wall-clock
-// bound by design).
+// BenchmarkE10TransportLive measures the same admission on the loopback
+// TCP live cluster, bootstrap included (real scaled delays, so it is
+// wall-clock bound by design).
 func BenchmarkE10TransportLive(b *testing.B) {
 	topo := rtds.NewNetwork(3)
 	topo.MustAddEdge(0, 1, 0.05)

@@ -2,8 +2,8 @@
 // Std-spec DAG workload at the target rate through the nodes' HTTP control
 // APIs, waits for every decision, and reports guarantee ratio, p50/p99
 // decision latency, messages per job and leak checks. With -verify-live it
-// additionally replays the identical workload on the in-process live
-// transport and reports per-arrival decision agreement — the deployment's
+// additionally replays the identical workload on the deterministic DES and
+// reports per-arrival decision agreement — the deployment's
 // transport-equivalence proof.
 //
 // Usage:
@@ -60,7 +60,7 @@ func main() {
 	scale := flag.Duration("scale", 2*time.Millisecond, "wall-clock duration of one virtual unit (pacing; must match the nodes)")
 	tightness := flag.Float64("tightness", 0, "override deadline tightness (0 = Std-spec 2.5)")
 	infeasible := flag.Float64("infeasible", 0, "fraction of extra infeasible jobs (deadline < critical path)")
-	verifyLive := flag.Bool("verify-live", false, "replay the workload on the in-process live transport and compare decisions")
+	verifyLive := flag.Bool("verify-live", false, "replay the workload on the deterministic DES and compare decisions")
 	minAgreement := flag.Float64("min-agreement", 0, "fail unless decision agreement with -verify-live reaches this fraction")
 	schemeName := flag.String("scheme", "rtds", "scheme of the deployed nodes (for -verify-live)")
 	policySpec := flag.String("policy", "", "policy overrides of the deployed nodes (for -verify-live)")
@@ -149,10 +149,11 @@ type Report struct {
 	// agreement of 0.0 (total disagreement) would be indistinguishable
 	// from "not verified" in the JSON. LiveAgreement is the fraction of
 	// arrivals whose guarantee decision (accepted vs rejected — the
-	// paper's decision) matched the live replay; LiveAgreementStrict
+	// paper's decision) matched the DES replay; LiveAgreementStrict
 	// additionally distinguishes local from distributed acceptance, which
-	// is a mechanism detail two wall-clock transports may legitimately
-	// resolve differently on a busy site.
+	// is a mechanism detail a wall-clock cluster may legitimately resolve
+	// differently from the DES on a busy site. The live_ names predate the
+	// DES reference and are kept for existing report consumers.
 	LiveVerified        bool     `json:"live_verified"`
 	LiveAgreement       float64  `json:"live_agreement"`
 	LiveAgreementStrict float64  `json:"live_agreement_strict"`
@@ -260,7 +261,7 @@ func run(o opts) error {
 	rep.TotalWallSeconds = wall.Seconds()
 
 	if o.verifyLive {
-		if err := verifyAgainstLive(o, arrivals, statuses, &rep); err != nil {
+		if err := verifyAgainstDES(o, arrivals, statuses, &rep); err != nil {
 			return err
 		}
 	}
@@ -285,7 +286,7 @@ func run(o opts) error {
 			o.joiner, rep.JoinerEnrollAcks, rep.JoinerAccepted)
 	}
 	if o.verifyLive {
-		fmt.Printf("live-transport agreement: %.4f on the guarantee decision (%.4f incl. local-vs-distributed), %d mismatches\n",
+		fmt.Printf("DES agreement: %.4f on the guarantee decision (%.4f incl. local-vs-distributed), %d mismatches\n",
 			rep.LiveAgreement, rep.LiveAgreementStrict, len(rep.LiveMismatches))
 		for _, m := range rep.LiveMismatches {
 			fmt.Println("  mismatch:", m)
@@ -310,7 +311,7 @@ func run(o opts) error {
 	case rep.Violations > 0:
 		return fmt.Errorf("%d causality violations", rep.Violations)
 	case o.verifyLive && rep.LiveAgreement < o.minAgreement:
-		return fmt.Errorf("live agreement %.4f below -min-agreement %.4f", rep.LiveAgreement, o.minAgreement)
+		return fmt.Errorf("DES agreement %.4f below -min-agreement %.4f", rep.LiveAgreement, o.minAgreement)
 	case o.joiner >= 0 && rep.JoinerEnrollAcks == 0:
 		return fmt.Errorf("joiner %d never answered an enrollment", o.joiner)
 	case o.joiner >= 0 && rep.JoinerAccepted == 0:
@@ -604,10 +605,10 @@ func getJSON(client *http.Client, url string, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
-// verifyAgainstLive replays the identical arrivals on the in-process live
-// transport with the nodes' configuration and compares per-arrival
-// outcomes, pairing each arrival with its per-origin submission sequence.
-func verifyAgainstLive(o opts, arrivals []workload.Arrival,
+// verifyAgainstDES replays the identical arrivals on the deterministic DES
+// with the nodes' configuration and compares per-arrival outcomes, pairing
+// each arrival with its per-origin submission sequence.
+func verifyAgainstDES(o opts, arrivals []workload.Arrival,
 	statuses map[graph.NodeID][]core.JobStatus, rep *Report) error {
 	topo, err := graph.Generate(graph.TopologyKind(o.topoKind), o.sites, experiments.StdDelays, o.seed)
 	if err != nil {
@@ -622,21 +623,20 @@ func verifyAgainstLive(o opts, arrivals []workload.Arrival,
 	if cfg.Policies, err = scheme.ParsePolicies(o.policySpec); err != nil {
 		return err
 	}
-	fmt.Println("rtds-load: replaying the workload on the in-process live transport...")
-	lc, err := core.NewLiveCluster(topo, cfg, o.scale)
+	fmt.Println("rtds-load: replaying the workload on the deterministic DES...")
+	des, err := core.NewCluster(topo, cfg)
 	if err != nil {
 		return err
 	}
-	defer lc.Close()
 	for _, a := range arrivals {
-		if _, err := lc.Submit(a.At, a.Origin, a.Graph, a.Deadline); err != nil {
+		if _, err := des.Submit(a.At, a.Origin, a.Graph, a.Deadline); err != nil {
 			return err
 		}
 	}
-	if !lc.Wait(o.timeout) {
-		return fmt.Errorf("live replay did not quiesce within %v", o.timeout)
+	if err := des.Run(); err != nil {
+		return err
 	}
-	live := lc.JobStatuses()
+	ref := des.JobStatuses()
 	rep.LiveVerified = true
 
 	accepted := func(outcome string) bool {
@@ -647,15 +647,15 @@ func verifyAgainstLive(o opts, arrivals []workload.Arrival,
 	for i, a := range arrivals {
 		netSt := statuses[a.Origin][next[a.Origin]]
 		next[a.Origin]++
-		if netSt.OutcomeName == live[i].OutcomeName {
+		if netSt.OutcomeName == ref[i].OutcomeName {
 			strict++
 		}
-		if accepted(netSt.OutcomeName) == accepted(live[i].OutcomeName) {
+		if accepted(netSt.OutcomeName) == accepted(ref[i].OutcomeName) {
 			match++
 		} else {
 			rep.LiveMismatches = append(rep.LiveMismatches, fmt.Sprintf(
-				"arrival %d (origin %d): cluster %s, live %s",
-				i, a.Origin, netSt.OutcomeName, live[i].OutcomeName))
+				"arrival %d (origin %d): cluster %s, DES %s",
+				i, a.Origin, netSt.OutcomeName, ref[i].OutcomeName))
 		}
 	}
 	if len(arrivals) > 0 {

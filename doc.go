@@ -52,9 +52,9 @@
 // dispatching and the mapper heuristic. Nil policies replay the paper's
 // hard-wired behavior exactly.
 //
-// Complete scheduling algorithms are registered as schemes — rtds, spread,
-// broadcast, local, fab (focused addressing + bidding) and oracle — and
-// built by name:
+// Complete scheduling algorithms are registered as schemes — rtds,
+// rtds-hier, broadcast, local, fab (focused addressing + bidding) and
+// oracle — and built by name:
 //
 //	c, err := rtds.BuildScheme("broadcast", topo, rtds.SchemeConfig{})
 //	if err != nil { ... }
@@ -64,7 +64,7 @@
 //
 // # Transports and deployment
 //
-// The protocol core is transport-agnostic (simnet.Transport). Three
+// The protocol core is transport-agnostic (simnet.Transport). Two
 // transports implement it:
 //
 //   - the deterministic discrete-event simulator (internal/simnet.DES),
@@ -72,13 +72,14 @@
 //     same experiments run on the conservative parallel kernel
 //     (internal/sim/par behind internal/simnet.PartDES) and produce
 //     byte-identical tables at any partition count;
-//   - the goroutine-backed live transport (internal/simnet.Live), real
-//     scaled time and genuine concurrency in one process;
 //   - the TCP transport (internal/wire.NetTransport), which frames every
 //     protocol message with the versioned binary codec of internal/wire
 //     and runs one site per operating-system process (internal/core.Node,
 //     deployed by cmd/rtds-node with the HTTP control plane of
-//     internal/nodeapi and driven by cmd/rtds-load).
+//     internal/nodeapi and driven by cmd/rtds-load). In one process,
+//     wire.LiveCluster (rtds.NewLiveCluster) runs every site as its own
+//     node on a loopback transport: real scaled time, genuine
+//     concurrency and the real codec, without the deployment.
 //
 // # Gateway
 //

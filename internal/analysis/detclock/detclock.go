@@ -10,9 +10,9 @@
 // are banned; seeded *rand.Rand values (rand.New(rand.NewSource(seed)))
 // are the sanctioned randomness and pass untouched.
 //
-// Live/TCP code that legitimately lives in a deterministic package (the
-// wall-clock transport half of internal/simnet, wall-time measurement in
-// the experiment harness) escapes with
+// Wall-clock code that legitimately lives in a deterministic package
+// (wall-time measurement in the experiment harness, for example) escapes
+// with
 //
 //	//lint:allow wallclock -- <justification>
 //

@@ -10,9 +10,10 @@ package lockorder
 // lock discipline is flat. No mutex is acquired — directly or through any
 // chain of calls — while another mutex is held. The code achieves this by
 // snapshotting under a lock and working on the snapshot after release:
-// simnet.Live.Send drops Live.mu before pushing into the per-link and
-// per-node fifo queues (whose own mu is taken push/pop-local), the
-// wire.NetTransport accessors hand out field pointers without locking, and
+// wire.NetTransport.Send drops its mu before enqueueing on the peer's
+// frame queue (whose own mu is taken enqueue/dequeue-local), the
+// wire.NetTransport accessors hand out field pointers without locking,
+// wire.LiveCluster takes its mu only around its job-ID list, and
 // core.Cluster calls only lock-free accessors (Transport.Stats,
 // Transport.Now, payload Kind/SizeBytes) under Cluster.mu.
 //

@@ -39,7 +39,7 @@ type Cluster struct {
 	// for remotely-initiated jobs is reconstructed from protocol messages.
 	nodeMode bool
 
-	mu          sync.Mutex // guards records (needed on the live transport)
+	mu          sync.Mutex // guards records (needed on wall-clock transports)
 	jobs        []*Job
 	jobIndex    map[string]*Job
 	violations  []string
@@ -295,7 +295,7 @@ func (c *Cluster) RunUntil(t float64) error {
 func (c *Cluster) Now() float64 { return c.tr.Now() - c.epoch }
 
 // nowFor reports the virtual time site id's execution context observes. On
-// the serial and live transports that is the transport-wide clock; on the
+// the serial DES and TCP transports that is the transport-wide clock; on the
 // parallel kernel it is the site's partition clock — the only clock an
 // event closure may consult while partitions run concurrently.
 func (c *Cluster) nowFor(id graph.NodeID) float64 {
@@ -428,7 +428,7 @@ func (c *Cluster) RemoteRegionViews(id graph.NodeID) map[int][]membership.Entry 
 }
 
 // EventsProcessed reports how many discrete events the underlying engine has
-// fired (0 on the live transport, which has no event queue). The experiment
+// fired (0 on a wall-clock transport, which has no event queue). The experiment
 // harness aggregates this into its events/sec throughput metric.
 func (c *Cluster) EventsProcessed() int64 {
 	if c.par != nil {
@@ -451,8 +451,9 @@ func (c *Cluster) Violations() []string {
 // AllIdle reports whether every site has released its lock, drained its
 // deferred queue and closed its transactions — the expected state once the
 // event queue is empty. Tests assert it. This reads site state directly and
-// is only safe on the single-threaded DES transport; LiveCluster shadows it
-// with a probe routed through each site's execution context.
+// is only safe on the single-threaded DES transport; on wall-clock
+// transports, Node.Idle (and wire.LiveCluster.AllIdle over all nodes)
+// routes the probe through the site's execution context.
 func (c *Cluster) AllIdle() bool {
 	for _, s := range c.sites {
 		if s == nil { // node mode: only the owned site is local

@@ -119,7 +119,7 @@ func (s *Site) rescheduleAllExec() {
 	}
 }
 
-// Wall-clock transports (live goroutines, TCP) fire same-deadline timers
+// Wall-clock transports (TCP) fire same-deadline timers
 // with runtime scheduling skew: a predecessor's completion timer and its
 // successor's start timer share an instant, and either may win. The
 // causality assertion therefore retries for up to one virtual time unit

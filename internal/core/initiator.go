@@ -48,8 +48,8 @@ func (s *Site) onEnrollAck(m EnrollAck) {
 	}
 	if t.RecordEnrollment(m.Member, txn.Enrollment{Surplus: m.Surplus, Power: m.Power, Dists: m.Dists}) {
 		// Cancel before closing the window: if the expiry timer fires at
-		// the same instant as this ack (or has already been queued on the
-		// live transport), the nil-ed handle plus enrollDone's phase guard
+		// the same instant as this ack (or has already been queued on a
+		// wall-clock transport), the nil-ed handle plus enrollDone's phase guard
 		// keep the window from being closed twice.
 		t.StopTimer()
 		s.enrollDone(t)

@@ -19,7 +19,7 @@ const noLock = graph.NodeID(-1)
 
 // Site is one network node running the RTDS state machine. A site's methods
 // are only invoked from its transport execution context (the DES event loop
-// or the site's goroutine on the live transport), so no internal locking is
+// or the transport's inbox goroutine on TCP), so no internal locking is
 // needed.
 //
 // The site is the protocol's I/O half: it owns the transport, the routing

@@ -30,48 +30,16 @@ func startPair(t *testing.T) (srv0, srv1 *httptest.Server, cleanup func()) {
 	cfg.Membership = membership.Config{Enabled: true, HeartbeatEvery: 25, SuspectAfter: 100}
 	scale := time.Millisecond
 
-	trs := make([]*wire.NetTransport, 2)
-	addrs := make(map[graph.NodeID]string)
-	for id := 0; id < 2; id++ {
-		tr, err := wire.Listen(wire.NetConfig{
-			Self: graph.NodeID(id), Topo: topo, Listen: "127.0.0.1:0", Scale: scale,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		trs[id] = tr
-		addrs[graph.NodeID(id)] = tr.Addr()
+	lc, err := wire.NewLiveCluster(topo, cfg, scale)
+	if err != nil {
+		t.Fatal(err)
 	}
-	apis := make([]*Server, 2)
-	nodes := make([]*core.Node, 2)
-	for id, tr := range trs {
-		tr.SetPeers(addrs)
-		node, err := core.NewNode(topo, cfg, tr, graph.NodeID(id))
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[id] = node
-		apis[id] = New(node)
-	}
-	for _, tr := range trs {
-		tr.Start()
-	}
-	for _, node := range nodes {
-		node.StartBootstrap()
-	}
-	for id, node := range nodes {
-		if !node.WaitReady(30 * time.Second) {
-			t.Fatalf("node %d bootstrap stalled", id)
-		}
-		node.Seal()
-	}
-	s0, s1 := httptest.NewServer(apis[0]), httptest.NewServer(apis[1])
+	nodes := lc.Nodes()
+	s0, s1 := httptest.NewServer(New(nodes[0])), httptest.NewServer(New(nodes[1]))
 	return s0, s1, func() {
 		s0.Close()
 		s1.Close()
-		for _, tr := range trs {
-			tr.Close()
-		}
+		lc.Close()
 	}
 }
 

@@ -4,7 +4,7 @@
 // Sites (called origins here) are pinned to partitions; each partition owns
 // an event heap, a clock and an execution thread, so all events of one
 // origin run serially on one goroutine — the same per-site serial contract
-// the serial kernel and the live transport give the protocol layer.
+// the serial kernel and the TCP transport give the protocol layer.
 // Partitions synchronize with conservative time windows: every round the
 // coordinator computes the global floor (the minimum next-event time across
 // partitions) and lets all partitions run concurrently up to the safe

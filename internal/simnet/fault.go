@@ -84,8 +84,9 @@ func (p FaultPlan) Validate(n int) error {
 }
 
 // faultState is the per-transport injector. The mutex serializes the rand
-// source on the live transport; the DES transport calls from a single
-// goroutine, where lock cost is negligible next to determinism.
+// source behind Injector, which wire.NetTransport consults from whichever
+// goroutine calls Send; the DES transports draw from a single goroutine,
+// where lock cost is negligible next to determinism.
 type faultState struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
@@ -136,8 +137,8 @@ func (f *faultState) perturb(from, to graph.NodeID, at, delay float64) (float64,
 
 // Injector applies a FaultPlan for transports implemented outside this
 // package (the wire package's TCP transport perturbs traversals at the
-// socket layer with exactly the semantics the DES and live transports
-// implement). Safe for concurrent use.
+// socket layer with exactly the semantics the DES transports implement).
+// Safe for concurrent use.
 type Injector struct{ st *faultState }
 
 // NewInjector arms a fault plan whose times are relative to epoch.

@@ -14,11 +14,11 @@
 //     over the conservative parallel kernel, routing partition-local
 //     traffic into per-partition heaps and cross-partition traffic through
 //     the barrier outboxes (enabled by the kernel-workers knob);
-//   - Live: one goroutine per site and real (scaled) time — demonstrates the
-//     protocol under genuine concurrency (examples/livenet) and backs the
-//     transport-equivalence tests;
-//   - internal/wire.NetTransport: the same interface over TCP with a binary
-//     wire codec, one site per process (cmd/rtds-node).
+//   - internal/wire.NetTransport: the same interface in real (scaled) time
+//     over TCP with a binary wire codec, one site per transport — one per
+//     process in a deployment (cmd/rtds-node), or all in one process on
+//     loopback sockets (wire.LiveCluster: examples/livenet and the
+//     transport-equivalence tests).
 //
 // Only adjacent sites can exchange messages directly; multi-hop delivery is
 // the protocol layer's job (it forwards along routing-table next hops), so
@@ -175,7 +175,7 @@ func (s *Stats) Record(p Payload) {
 
 // RecordEdge counts one sent payload with its link endpoints, so traversals
 // crossing the installed boundary classifier are also counted. Transports
-// that know the link (DES, PartDES, Live) use this instead of Record.
+// that know the link (DES, PartDES) use this instead of Record.
 func (s *Stats) RecordEdge(from, to graph.NodeID, p Payload) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,9 +1,7 @@
 package simnet
 
 import (
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/sim"
@@ -133,114 +131,6 @@ func TestDESAttachTwicePanics(t *testing.T) {
 		}
 	}()
 	tr.Attach(0, func(graph.NodeID, Payload) {})
-}
-
-func TestLiveDeliveryAndFIFO(t *testing.T) {
-	topo := lineTopo()
-	tr := NewLive(topo, 100*time.Microsecond)
-	var mu sync.Mutex
-	var got []int
-	tr.Attach(0, func(graph.NodeID, Payload) {})
-	tr.Attach(1, func(_ graph.NodeID, p Payload) {
-		mu.Lock()
-		got = append(got, p.(testMsg).n)
-		mu.Unlock()
-	})
-	tr.Attach(2, func(graph.NodeID, Payload) {})
-	tr.Start()
-	defer tr.Close()
-	for i := 0; i < 30; i++ {
-		if err := tr.Send(0, 1, testMsg{kind: "x", n: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !tr.WaitIdle(5 * time.Second) {
-		t.Fatal("transport did not quiesce")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 30 {
-		t.Fatalf("delivered %d messages, want 30", len(got))
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("live link not FIFO at %d: %v", i, got[:i+1])
-		}
-	}
-}
-
-func TestLivePingPong(t *testing.T) {
-	topo := lineTopo()
-	tr := NewLive(topo, 50*time.Microsecond)
-	var mu sync.Mutex
-	count := 0
-	tr.Attach(0, func(from graph.NodeID, p Payload) {
-		mu.Lock()
-		count++
-		c := count
-		mu.Unlock()
-		if c < 5 {
-			tr.Send(0, 1, testMsg{kind: "ping", n: c})
-		}
-	})
-	tr.Attach(1, func(from graph.NodeID, p Payload) {
-		tr.Send(1, 0, testMsg{kind: "pong"})
-	})
-	tr.Attach(2, func(graph.NodeID, Payload) {})
-	tr.Start()
-	defer tr.Close()
-	tr.Send(0, 1, testMsg{kind: "ping", n: 0})
-	if !tr.WaitIdle(5 * time.Second) {
-		t.Fatal("ping-pong did not quiesce")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if count != 5 {
-		t.Fatalf("pong count %d, want 5", count)
-	}
-}
-
-func TestLiveTimer(t *testing.T) {
-	tr := NewLive(lineTopo(), 50*time.Microsecond)
-	var mu sync.Mutex
-	fired, cancelledFired := false, false
-	tr.Attach(0, func(graph.NodeID, Payload) {})
-	tr.Attach(1, func(graph.NodeID, Payload) {})
-	tr.Attach(2, func(graph.NodeID, Payload) {})
-	tr.Start()
-	defer tr.Close()
-	tr.After(0, 1, func() { mu.Lock(); fired = true; mu.Unlock() })
-	cancel := tr.After(0, 2, func() { mu.Lock(); cancelledFired = true; mu.Unlock() })
-	cancel()
-	if !tr.WaitIdle(5 * time.Second) {
-		t.Fatal("did not quiesce")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if !fired {
-		t.Fatal("timer did not fire")
-	}
-	if cancelledFired {
-		t.Fatal("cancelled timer fired")
-	}
-}
-
-func TestLiveSendBeforeStart(t *testing.T) {
-	tr := NewLive(lineTopo(), time.Millisecond)
-	tr.Attach(0, func(graph.NodeID, Payload) {})
-	if err := tr.Send(0, 1, testMsg{kind: "x"}); err == nil {
-		t.Fatal("send before Start accepted")
-	}
-}
-
-func TestLiveCloseIdempotent(t *testing.T) {
-	tr := NewLive(lineTopo(), time.Millisecond)
-	for i := graph.NodeID(0); i < 3; i++ {
-		tr.Attach(i, func(graph.NodeID, Payload) {})
-	}
-	tr.Start()
-	tr.Close()
-	tr.Close() // must not panic or hang
 }
 
 func BenchmarkDESSend(b *testing.B) {

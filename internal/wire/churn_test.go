@@ -76,35 +76,13 @@ func TestNetClusterChurnJoin(t *testing.T) {
 	scale := 2 * time.Millisecond
 	cfg := churnConfig()
 
-	trs := startTransports(t, topo, scale)
+	lc, err := NewLiveCluster(topo, cfg, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	trs, nodes := lc.trs, lc.Nodes()
 	victimAddr := trs[1].Addr()
-	nodes := make([]*core.Node, topo.Len())
-	for id := range trs {
-		n, err := core.NewNode(topo, cfg, trs[id], graph.NodeID(id))
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[id] = n
-	}
-	for _, tr := range trs {
-		tr.Start()
-	}
-	for _, n := range nodes {
-		n.StartBootstrap()
-	}
-	for id, n := range nodes {
-		if !n.WaitReady(30 * time.Second) {
-			t.Fatalf("node %d never finished the PCS bootstrap over TCP", id)
-		}
-	}
-	for _, n := range nodes {
-		n.Seal()
-	}
-	defer func() {
-		for _, tr := range trs {
-			tr.Close()
-		}
-	}()
 
 	// Phase 1: a healthy-cluster job, distributed.
 	if _, err := nodes[0].Submit(0, distJob(t, 3, 10), 25); err != nil {
@@ -224,4 +202,39 @@ func TestNetClusterChurnJoin(t *testing.T) {
 			}
 		}
 	}
+}
+
+// waitAllDecided polls the nodes' synchronized snapshots until every
+// submitted job has an outcome and every node is idle, or the timeout
+// elapses. Unlike LiveCluster.Wait it covers any subset of nodes, so a
+// killed node can be left out and a joiner added.
+func waitAllDecided(nodes []*core.Node, timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) {
+		if allDecided(nodes) && allIdle(nodes) {
+			return true
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	return false
+}
+
+func allDecided(nodes []*core.Node) bool {
+	for _, n := range nodes {
+		for _, st := range n.JobStatuses() {
+			if st.Outcome == core.Pending {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func allIdle(nodes []*core.Node) bool {
+	for _, n := range nodes {
+		if !n.Idle() {
+			return false
+		}
+	}
+	return true
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/mapper"
 	"repro/internal/scheme"
 	"repro/internal/simnet"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -19,8 +20,9 @@ type (
 	// Cluster is a simulated network of RTDS sites (deterministic
 	// discrete-event time).
 	Cluster = core.Cluster
-	// LiveCluster runs the same protocol on real goroutines and channels.
-	LiveCluster = core.LiveCluster
+	// LiveCluster runs the same protocol in wall-clock time, one node per
+	// site on its own loopback TCP transport.
+	LiveCluster = wire.LiveCluster
 	// Config tunes a cluster; start from DefaultConfig.
 	Config = core.Config
 	// Job is one submitted job's record.
@@ -59,7 +61,7 @@ type (
 	// Crash is one site outage window of a FaultPlan.
 	Crash = simnet.Crash
 
-	// Scheme is one registered scheduling algorithm (rtds, spread,
+	// Scheme is one registered scheduling algorithm (rtds, rtds-hier,
 	// broadcast, local, fab, oracle); BuildScheme constructs one by name.
 	Scheme = scheme.Scheme
 	// SchemeConfig is the scheme-independent run configuration.
@@ -135,10 +137,10 @@ func NewCluster(topo *Network, cfg Config) (*Cluster, error) {
 	return core.NewCluster(topo, cfg)
 }
 
-// NewLiveCluster is NewCluster on the goroutine-backed transport; scale is
-// the wall-clock duration of one virtual time unit.
+// NewLiveCluster is NewCluster in wall-clock time over loopback TCP; scale
+// is the wall-clock duration of one virtual time unit.
 func NewLiveCluster(topo *Network, cfg Config, scale time.Duration) (*LiveCluster, error) {
-	return core.NewLiveCluster(topo, cfg, scale)
+	return wire.NewLiveCluster(topo, cfg, scale)
 }
 
 // NewNetwork returns an empty topology with n sites; join sites with
